@@ -126,7 +126,9 @@ psim-soak:
 # reflect perf drift, not iteration-count noise. The harness-throughput
 # pair runs separately at a smaller fixed count: one op is a full 64-case
 # catalogue sweep (~2s since the chaos invariants joined it), so 200x
-# would blow the per-package test timeout. The daemon deployment pair
+# would blow the per-package test timeout. The datagram-codec and packet-
+# checksum microbenchmarks take well under a microsecond per op, so they
+# run at 200000x to get past timer resolution. The daemon deployment pair
 # (reliable mcastd, lossless vs 1% drop over loopback UDP) runs at 100x:
 # each op is a full 17-host socket-fabric run. Separate commands, no pipe
 # on the test runs, so a benchmark failure fails the target instead of
@@ -134,6 +136,8 @@ psim-soak:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkReliable|BenchmarkEventSimMulticast|BenchmarkLive' \
 		-benchmem -benchtime 200x ./internal/sim ./internal/live . > bench-raw.out
+	$(GO) test -run '^$$' -bench 'BenchmarkDatagramCodec|BenchmarkPacketChecksum' \
+		-benchmem -benchtime 200000x ./internal/live/link ./internal/message >> bench-raw.out
 	$(GO) test -run '^$$' -bench 'BenchmarkCheckCases' \
 		-benchmem -benchtime 25x -timeout 20m ./internal/check >> bench-raw.out
 	$(GO) test -run '^$$' -bench 'BenchmarkDaemonReliable' \

@@ -100,6 +100,10 @@ type UDPStats struct {
 	Overflow uint64
 	// CtlDropped counts control datagrams dropped on a full ctl channel.
 	CtlDropped uint64
+	// Credits counts flow-control credit datagrams sent (observability:
+	// receivers coalesce credits, so this is well below the fragment
+	// count on a clean wire).
+	Credits uint64
 }
 
 // UDPNetwork moves live-runtime frames over real UDP sockets: one socket
@@ -129,7 +133,7 @@ type UDPNetwork struct {
 
 	nextInc atomic.Uint32
 
-	bad, foreign, resync, overflow, ctlDropped atomic.Uint64
+	bad, foreign, resync, overflow, ctlDropped, credits atomic.Uint64
 }
 
 // NewUDPNetwork creates an empty network; add endpoints with Listen and
@@ -241,6 +245,7 @@ func (n *UDPNetwork) Stats() UDPStats {
 		Resyncs:      n.resync.Load(),
 		Overflow:     n.overflow.Load(),
 		CtlDropped:   n.ctlDropped.Load(),
+		Credits:      n.credits.Load(),
 	}
 }
 
@@ -443,8 +448,9 @@ type rcvKey struct {
 }
 
 // rcvState is the receive side of one inbound edge incarnation.
-// Fragment reassembly fields are pump-owned; consumed is shared with the
-// deliverer (both credit cumulatively, the sender keeps the max).
+// Fragment reassembly fields are pump-owned; consumed and reported are
+// shared with the deliverer (both credit cumulatively, the sender keeps
+// the max).
 type rcvState struct {
 	from     int
 	inc      uint32
@@ -454,7 +460,23 @@ type rcvState struct {
 	parts    [][]byte // fragments held so far
 	held     int      // payload bytes in parts
 	q        chan []byte
-	consumed atomic.Uint32
+	consumed atomic.Uint32 // fragments consumed (cumulative)
+	reported atomic.Uint32 // consumed count of the last credit sent
+}
+
+// rcvBufs recycles pump receive buffers across attach sessions; a
+// fabric built per run would otherwise allocate one per host per run.
+// Nothing outlives the pump that filled it: payloads are copied out.
+var rcvBufs sync.Pool
+
+// rcvBuf returns a pooled receive buffer of exactly size bytes.
+func rcvBuf(size int) *[]byte {
+	if bp, ok := rcvBufs.Get().(*[]byte); ok && cap(*bp) >= size {
+		*bp = (*bp)[:size]
+		return bp
+	}
+	b := make([]byte, size)
+	return &b
 }
 
 // pump is the endpoint's socket-reader loop for one attach session. It
@@ -465,7 +487,11 @@ func (ep *udpEndpoint) pump(in *Inbox, stop chan struct{}, done chan struct{}) {
 	defer close(done)
 	n := ep.n
 	rcv := map[rcvKey]*rcvState{}
-	buf := make([]byte, maxDatagram)
+	// One byte over the MTU: a larger datagram is either truncated to
+	// this size or exactly this size, and both are rejected below.
+	bp := rcvBuf(n.cfg.MTU + 1)
+	defer rcvBufs.Put(bp)
+	buf := *bp
 	credit := make([]byte, 0, dgHeaderSize)
 	for {
 		select {
@@ -482,7 +508,7 @@ func (ep *udpEndpoint) pump(in *Inbox, stop chan struct{}, done chan struct{}) {
 			return // socket closed under us: network shutdown
 		}
 		h, payload, err := decodeDatagram(buf[:nb])
-		if err != nil {
+		if err != nil || nb > n.cfg.MTU {
 			n.bad.Add(1)
 			continue
 		}
@@ -509,10 +535,10 @@ func (ep *udpEndpoint) pump(in *Inbox, stop chan struct{}, done chan struct{}) {
 				go ep.deliver(rs, in, stop)
 			}
 			// Credit accounting is by absolute fragment sequence: every
-			// fragment the sender ever numbered must end up accounted —
-			// credited on arrival (non-final), after delivery (final), or
-			// right here when the wire lost it — or the sender's window
-			// would shrink by one forever per lost datagram.
+			// fragment the sender ever numbered must end up consumed —
+			// on arrival (non-final), after delivery (final), or right
+			// here when the wire lost it — or the sender's window would
+			// shrink by one forever per lost datagram.
 			if h.Seq < rs.nextSeq {
 				n.resync.Add(1) // duplicate or reordered stale fragment
 				continue
@@ -520,12 +546,12 @@ func (ep *udpEndpoint) pump(in *Inbox, stop chan struct{}, done chan struct{}) {
 			if h.Seq > rs.nextSeq {
 				// Gap: fragments [nextSeq, h.Seq) are lost. Account them,
 				// drop the broken partial packet (its fragments were
-				// credited on arrival), and resume at the new sequence.
+				// consumed on arrival), and resume at the new sequence.
 				n.resync.Add(1)
 				rs.consumed.Add(h.Seq - rs.nextSeq)
 				rs.nextSeq = h.Seq
 				rs.parts, rs.held, rs.expect = nil, 0, 0
-				ep.sendCredit(credit, rs)
+				ep.credit(credit, rs, true)
 			}
 			rs.nextSeq++
 			if h.Frag != rs.expect {
@@ -536,7 +562,7 @@ func (ep *udpEndpoint) pump(in *Inbox, stop chan struct{}, done chan struct{}) {
 				rs.parts, rs.held, rs.expect = nil, 0, 0
 				if h.Frag != 0 {
 					rs.consumed.Add(1)
-					ep.sendCredit(credit, rs)
+					ep.credit(credit, rs, true)
 					continue
 				}
 			}
@@ -547,7 +573,7 @@ func (ep *udpEndpoint) pump(in *Inbox, stop chan struct{}, done chan struct{}) {
 			rs.expect++
 			if h.Frag+1 < h.Frags {
 				rs.consumed.Add(1)
-				ep.sendCredit(credit, rs)
+				ep.credit(credit, rs, false)
 				continue
 			}
 			pkt := chunk
@@ -560,13 +586,13 @@ func (ep *udpEndpoint) pump(in *Inbox, stop chan struct{}, done chan struct{}) {
 			rs.parts, rs.held, rs.expect = nil, 0, 0
 			select {
 			case rs.q <- pkt:
-				// The final fragment is credited by the deliverer once the
+				// The final fragment is consumed by the deliverer once the
 				// packet clears the inbox gate — that deferral is what turns
 				// inbox fullness into sender-side blocking.
 			default:
 				n.overflow.Add(1)
 				rs.consumed.Add(1)
-				ep.sendCredit(credit, rs)
+				ep.credit(credit, rs, true)
 			}
 		case dgCredit:
 			ep.mu.Lock()
@@ -583,7 +609,7 @@ func (ep *udpEndpoint) pump(in *Inbox, stop chan struct{}, done chan struct{}) {
 			if rs == nil {
 				rs = &rcvState{from: int(h.From), inc: h.Epoch, addr: raddr}
 			}
-			ep.sendCredit(credit, rs)
+			ep.credit(credit, rs, true)
 		case dgCtl:
 			msg := make([]byte, len(payload))
 			copy(msg, payload)
@@ -610,22 +636,42 @@ func (ep *udpEndpoint) deliver(rs *rcvState, in *Inbox, stop chan struct{}) {
 				return // detached mid-delivery
 			}
 			rs.consumed.Add(1)
-			ep.sendCredit(credit, rs)
+			ep.credit(credit, rs, false)
 		case <-stop:
 			return
 		}
 	}
 }
 
-// sendCredit emits one cumulative credit datagram to rs's sender. buf is
-// the caller's scratch encoding buffer (pump and deliverer each own one).
-func (ep *udpEndpoint) sendCredit(buf []byte, rs *rcvState) {
-	dg := appendDatagram(buf[:0], dgHeader{
-		Kind: dgCredit, From: uint16(ep.host), To: uint16(rs.from),
-		Session: ep.n.cfg.Session, Epoch: rs.inc,
-		Seq: rs.consumed.Load(), Frags: 1,
-	}, nil)
-	ep.conn.WriteToUDP(dg, rs.addr) // best-effort: probes recover lost credits
+// credit restates rs's cumulative consumed count to its sender: always
+// when force is set, otherwise only once at least max(1, Window/2)
+// fragments have gone unreported — one credit datagram per half window
+// instead of one per fragment. A sender blocks only with Window
+// fragments outstanding beyond its last credit; once those are consumed
+// they are all unreported (or a credit is already on its way), and
+// Window is at least the threshold, so coalescing cannot wedge an edge.
+// buf is the caller's scratch encoding buffer (pump and deliverer each
+// own one).
+func (ep *udpEndpoint) credit(buf []byte, rs *rcvState, force bool) {
+	every := uint32(max(1, ep.n.cfg.Window/2))
+	for {
+		// reported first: it only ever holds an earlier consumed value,
+		// so the later consumed load is never behind it.
+		r := rs.reported.Load()
+		c := rs.consumed.Load()
+		if !force && c-r < every {
+			return
+		}
+		if rs.reported.CompareAndSwap(r, c) {
+			dg := appendDatagram(buf[:0], dgHeader{
+				Kind: dgCredit, From: uint16(ep.host), To: uint16(rs.from),
+				Session: ep.n.cfg.Session, Epoch: rs.inc, Seq: c, Frags: 1,
+			}, nil)
+			ep.n.credits.Add(1)
+			ep.conn.WriteToUDP(dg, rs.addr) // best-effort: probes recover lost credits
+			return
+		}
+	}
 }
 
 // UDPTransport is one dialed edge incarnation: the socket-backed

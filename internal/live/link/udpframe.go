@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"repro/internal/message"
 )
 
 // This file is the datagram wire format of the UDP transport (udp.go):
@@ -11,7 +13,7 @@ import (
 // credits, credit probes, daemon control traffic — carries one fixed
 // 34-byte header followed by an optional payload. The format is
 // deliberately in the style of internal/message's packet header (a tiny
-// versioned binary header with an FNV-1a checksum over everything), but
+// versioned binary header with a CRC-32C checksum over everything), but
 // it frames a *hop*, not a message: the payload of a data datagram is a
 // fragment of one wire-format packet, and the message-level header rides
 // inside it untouched.
@@ -31,7 +33,11 @@ import (
 //	 24    2 fragment index within the wire packet
 //	 26    2 fragment count of the wire packet
 //	 28    2 payload length
-//	 30    4 FNV-1a checksum over header (this field zeroed) + payload
+//	 30    4 CRC-32C over header (this field zeroed) + payload
+//
+// Version 1 carried an FNV-1a checksum with the same coverage; the
+// version bump makes a mixed fabric fail with ErrWrongVersion instead of
+// a stream of checksum mismatches.
 //
 // The epoch field decouples transport incarnations the way the message
 // header's epoch decouples membership views: every Dial mints a fresh
@@ -49,15 +55,17 @@ const (
 
 // DatagramVersion is the wire-format revision; receivers drop datagrams
 // of any other version (ErrWrongVersion from the decoder).
-const DatagramVersion = 1
+const DatagramVersion = 2
 
 const (
 	dgMagic0 = 'M'
 	dgMagic1 = 'C'
 	// dgHeaderSize is the fixed framing overhead per datagram.
 	dgHeaderSize = 34
-	// maxDatagram bounds what the receive pump will read — the UDP
-	// payload ceiling.
+	// dgSumOff is the offset of the checksum field, the header's last.
+	dgSumOff = 30
+	// maxDatagram is the decoder's size ceiling — the UDP payload limit.
+	// The receive pump reads at most MTU+1 bytes (see pump).
 	maxDatagram = 64 * 1024
 )
 
@@ -82,28 +90,6 @@ type dgHeader struct {
 	Length  uint16
 }
 
-// dgChecksum is FNV-1a over the header bytes with the checksum field
-// zeroed, then the payload — the same construction internal/message uses.
-func dgChecksum(hdr, payload []byte) uint32 {
-	const (
-		offset = 2166136261
-		prime  = 16777619
-	)
-	h := uint32(offset)
-	for i, b := range hdr {
-		if i >= 30 && i < 34 {
-			b = 0
-		}
-		h ^= uint32(b)
-		h *= prime
-	}
-	for _, b := range payload {
-		h ^= uint32(b)
-		h *= prime
-	}
-	return h
-}
-
 // appendDatagram encodes one datagram (header + payload) into dst,
 // returning the extended slice. h.Length is taken from the payload.
 func appendDatagram(dst []byte, h dgHeader, payload []byte) []byte {
@@ -124,10 +110,10 @@ func appendDatagram(dst []byte, h dgHeader, payload []byte) []byte {
 	binary.BigEndian.PutUint16(b[24:26], h.Frag)
 	binary.BigEndian.PutUint16(b[26:28], h.Frags)
 	binary.BigEndian.PutUint16(b[28:30], uint16(len(payload)))
-	dst = append(dst, payload...)
-	sum := dgChecksum(dst[base:base+dgHeaderSize], payload)
-	binary.BigEndian.PutUint32(dst[base+30:base+34], sum)
-	return dst
+	// The checksum field is still zero here, as the checksum requires.
+	sum := message.CRC32C(b, payload)
+	binary.BigEndian.PutUint32(b[dgSumOff:], sum)
+	return append(dst, payload...)
 }
 
 // decodeDatagram validates and decodes one received datagram. The
@@ -170,7 +156,9 @@ func decodeDatagram(b []byte) (dgHeader, []byte, error) {
 			ErrBadDatagram, h.Length, len(b)-dgHeaderSize)
 	}
 	payload := b[dgHeaderSize:]
-	if sum := dgChecksum(b[:dgHeaderSize], payload); sum != binary.BigEndian.Uint32(b[30:34]) {
+	var hdr [dgHeaderSize]byte // b's header with the checksum field zeroed
+	copy(hdr[:dgSumOff], b)
+	if sum := message.CRC32C(hdr[:], payload); sum != binary.BigEndian.Uint32(b[dgSumOff:]) {
 		return h, nil, fmt.Errorf("%w: checksum mismatch", ErrBadDatagram)
 	}
 	return h, payload, nil
